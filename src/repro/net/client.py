@@ -83,6 +83,8 @@ class IndexClient:
     async def _request(self, opcode: int, payload: bytes = b"") -> bytes:
         if self._closed:
             raise ConnectionError("client is closed")
+        if self._recv_task.done():  # no one is left to resolve the future
+            raise ConnectionError("server closed the connection")
         request_id = self._next_id
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF
         future: asyncio.Future = asyncio.get_running_loop().create_future()

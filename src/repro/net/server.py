@@ -9,14 +9,15 @@ under group commit).
 
 **Group commit / ack-after-fsync.** Mutating opcodes (``MUTATING_OPS``)
 are applied to the index immediately, but under ``fsync_policy="batch"``
-their OK responses are *parked* on a commit queue instead of being
-written back. A background commit loop wakes every ``commit_interval``
-seconds (or as soon as a mutation arrives), fsyncs every dirty shard WAL
-via :meth:`ShardedSortednessAwareIndex.commit`, and only then releases
-the parked acks. The client therefore never observes an acknowledgement
-for a write that a crash could lose — the invariant the crash harness
-(``tests/test_sharded_crash.py``) kills the server to check. Under
-``fsync_policy="always"`` the WAL appends sync inline and acks are
+their OK responses are *parked*. The first parked ack starts a commit
+task; as soon as the loop runs it, it fsyncs every dirty shard WAL
+(:meth:`ShardedSortednessAwareIndex.commit`), releases the acks parked so
+far, and repeats for acks parked meanwhile. There is no timer: a lone
+write waits for one fsync, and batching comes from load, as requests that
+arrive during one fsync all park before the next. A client therefore
+never sees an ack for a write that a crash could lose, which the crash
+harness (``tests/test_sharded_crash.py``) kills the server to check.
+Under ``fsync_policy="always"`` the WAL appends sync inline and acks are
 written immediately; under ``"never"`` durability is explicitly waived
 and acks are also immediate.
 
@@ -29,7 +30,7 @@ returned as ``RESP_ERR`` frames and the connection lives on.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net import protocol as p
 from repro.net.sharded import ShardedSortednessAwareIndex
@@ -45,67 +46,64 @@ class IndexServer:
         index: ShardedSortednessAwareIndex,
         host: str = "127.0.0.1",
         port: int = 0,
-        commit_interval: float = 0.002,
         obs: Optional[Observability] = None,
     ):
         self.index = index
         self.host = host
         self.port = port
-        self.commit_interval = commit_interval
         self.obs = obs if obs is not None else current_obs()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The running commit task, while any ack is parked or releasing.
         self._commit_task: Optional[asyncio.Task] = None
         #: Parked (writer, ack frame) pairs awaiting the next commit.
         self._parked: List[Tuple[asyncio.StreamWriter, bytes]] = []
-        self._commit_wake: Optional[asyncio.Event] = None
+        #: Open connections: writer -> its handler task.
+        self._conns: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._group_commit = index.config.fsync_policy == FSYNC_BATCH
         self.requests = 0
         self.errors = 0
         self.commits = 0
+        self.acks = 0
         self.connections = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        self._commit_wake = asyncio.Event()
         self._server = await asyncio.start_server(self._serve_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self._group_commit:
-            self._commit_task = asyncio.create_task(self._commit_loop())
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._commit_task is not None:
-            self._commit_task.cancel()
-            try:
-                await self._commit_task
-            except asyncio.CancelledError:
-                pass
-            self._commit_task = None
-        await self._release_parked()  # final commit for anything in flight
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Ack what is parked, then hang up and let every handler return: one
+        # cancelled at loop shutdown escapes to the loop's exception handler.
+        await self._release_parked()
+        for writer in self._conns:
+            writer.close()
+        await asyncio.gather(*self._conns.values(), return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()  # since 3.12, waits for the handlers
+        await self._release_parked()  # commit what the handlers applied since
         self.index.close()
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then runs :meth:`stop`."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     # ------------------------------------------------------------------
     # group commit
     # ------------------------------------------------------------------
     async def _commit_loop(self) -> None:
-        while True:
-            await self._commit_wake.wait()
-            self._commit_wake.clear()
-            # Let a burst of pipelined mutations pile onto this cycle so
-            # one fsync covers them all.
-            await asyncio.sleep(self.commit_interval)
-            await self._release_parked()
+        # Acks parked while one commit drains its writers wait for the next.
+        try:
+            while self._parked:
+                await self._release_parked()
+        finally:
+            self._commit_task = None
 
     async def _release_parked(self) -> None:
         if not self._parked and not self.index._dirty:
@@ -114,10 +112,11 @@ class IndexServer:
         with self.obs.span("serve.commit", acks=len(parked)):
             self.index.commit()  # fsync every dirty shard WAL
         self.commits += 1
+        self.acks += len(parked)
         for writer, frame in parked:
             if not writer.is_closing():
                 writer.write(frame)
-        for writer, _frame in parked:
+        for writer in dict.fromkeys(writer for writer, _frame in parked):
             if not writer.is_closing():
                 try:
                     await writer.drain()
@@ -128,7 +127,8 @@ class IndexServer:
         """Write a response now, or park it until the covering commit."""
         if self._group_commit and opcode in p.MUTATING_OPS:
             self._parked.append((writer, frame))
-            self._commit_wake.set()
+            if self._commit_task is None:
+                self._commit_task = asyncio.create_task(self._commit_loop())
         else:
             writer.write(frame)
 
@@ -139,6 +139,7 @@ class IndexServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
+        self._conns[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -162,16 +163,14 @@ class IndexServer:
                     )
                     await writer.drain()
                     continue
-                self._ack(
-                    writer,
-                    opcode,
-                    p.encode_frame(p.RESP_OK, request_id, p.encode_result(result)),
-                )
+                ok = p.encode_frame(p.RESP_OK, request_id, p.encode_result(result))
+                self._ack(writer, opcode, ok)
                 if reader.at_eof() or not self._group_commit:
                     await writer.drain()
         except (ConnectionError, OSError):
             pass
         finally:
+            del self._conns[writer]
             if not writer.is_closing():
                 writer.close()
                 try:
@@ -204,6 +203,7 @@ class IndexServer:
                 "requests": self.requests,
                 "errors": self.errors,
                 "commits": self.commits,
+                "acks": self.acks,
                 "connections": self.connections,
                 "group_commit": self._group_commit,
             }

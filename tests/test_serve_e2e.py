@@ -32,7 +32,7 @@ def serve_cfg(**kw):
 
 async def start_server(tmp_path, **kw):
     index = ShardedSortednessAwareIndex(str(tmp_path / "db"), config=serve_cfg(**kw))
-    server = IndexServer(index, commit_interval=0.001)
+    server = IndexServer(index)
     await server.start()
     return server
 
@@ -83,6 +83,9 @@ class TestEndToEnd:
             assert stats["server"]["connections"] == 4
             assert stats["server"]["group_commit"] is True
             assert stats["server"]["commits"] > 0
+            # Every PUT/DELETE ack was released by a commit before STATS ran.
+            assert stats["server"]["acks"] == 4 * 200
+            assert stats["server"]["commits"] <= stats["server"]["acks"]
 
             for c in clients:
                 await c.close()

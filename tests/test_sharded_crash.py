@@ -213,7 +213,7 @@ class TestAckAfterFsync:
             for shard in index._shards:
                 shard.wal.sync = spy(shard)
 
-            server = IndexServer(index, commit_interval=0.001)
+            server = IndexServer(index)
             await server.start()
             async with await IndexClient.connect(port=server.port) as client:
                 for i in range(120):
@@ -260,7 +260,7 @@ class TestAckAfterFsync:
 
                 shard.wal.sync = spy()
 
-            server = IndexServer(index, commit_interval=0.001)
+            server = IndexServer(index)
             await server.start()
             async with await IndexClient.connect(port=server.port) as client:
                 await asyncio.gather(
